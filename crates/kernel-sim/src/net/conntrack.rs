@@ -1,11 +1,19 @@
 //! Connection tracking with a fixed-capacity slot pool and LRU eviction.
 //!
-//! The table is pre-allocated at construction — no allocation happens on
-//! the packet path, mirroring the kernel's conntrack slab + the safe-ext
-//! pool-allocator discipline. Entries live in a slot arena threaded onto
-//! an intrusive doubly-linked LRU list by index; a `HashMap` maps flow
-//! keys to slot indices. When the arena is full, eviction prefers the
-//! least-recently-used `Closed` entry and falls back to the LRU tail.
+//! The slot arena's memory is reserved at construction — no per-packet
+//! allocation, mirroring the kernel's conntrack slab + the safe-ext
+//! pool-allocator discipline. Slots are handed out in index order and
+//! never freed singly (eviction reuses the victim's slot), so the arena
+//! grows by one initialised slot per new flow until it is full: building
+//! a table initialises no slot.
+//! Entries live in the slot arena threaded onto two intrusive
+//! doubly-linked lists by index: the LRU list of every entry, and the
+//! `Closed` list of the `Closed` entries only, kept in the same recency
+//! order. A `HashMap` maps flow keys to slot indices. When the arena is
+//! full, eviction takes the least-recently-used `Closed` entry (the
+//! `Closed` list's tail) and falls back to the LRU tail: O(1) either way.
+//! The flow log is a vector of fixed-size records, formatted only when
+//! [`Conntrack::flow_log_fingerprint`] is asked for.
 //!
 //! # Determinism contract
 //!
@@ -18,6 +26,7 @@
 //! them, but the state-transition sequence must not.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
 use parking_lot::Mutex;
 
@@ -80,13 +89,80 @@ struct Entry {
 
 const NIL: usize = usize::MAX;
 
+/// Index into [`Slot::links`] and [`Inner::lists`]: the list of every
+/// entry, most recently used first.
+const LRU: usize = 0;
+/// The list of `Closed` entries only. Every state change comes with a
+/// move to the LRU front, so this list is the LRU order restricted to
+/// `Closed` entries and its tail is the oldest `Closed` entry.
+const CLOSED: usize = 1;
+
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// More-recently-used neighbour (towards the head).
+    prev: usize,
+    /// Less-recently-used neighbour (towards the tail).
+    next: usize,
+}
+
+const UNLINKED: Link = Link {
+    prev: NIL,
+    next: NIL,
+};
+
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: usize,
+    tail: usize,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     entry: Option<Entry>,
-    /// More-recently-used neighbour (towards the LRU head).
-    prev: usize,
-    /// Less-recently-used neighbour (towards the LRU tail).
-    next: usize,
+    /// This slot's place in the [`LRU`] and [`CLOSED`] lists.
+    links: [Link; 2],
+}
+
+const NEW_SLOT: Slot = Slot {
+    entry: None,
+    links: [UNLINKED; 2],
+};
+
+/// One flow-log line, kept unformatted until a fingerprint is asked for.
+#[derive(Debug, Clone, Copy)]
+enum FlowRecord {
+    /// A new flow (`prev == None`) or a state change.
+    Transition {
+        key: FlowKey,
+        prev: Option<CtState>,
+        next: CtState,
+    },
+    /// The flow was evicted to admit another.
+    Evicted(FlowKey),
+}
+
+impl fmt::Display for FlowRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = match *self {
+            FlowRecord::Transition { key, .. } | FlowRecord::Evicted(key) => key,
+        };
+        write!(
+            f,
+            "{:08x}:{}>{:08x}:{}/{} ",
+            key.src_ip, key.src_port, key.dst_ip, key.dst_port, key.proto
+        )?;
+        match *self {
+            FlowRecord::Transition { prev, next, .. } => {
+                write!(f, "{}->{}", prev.map_or("new", CtState::name), next.name())
+            }
+            FlowRecord::Evicted(_) => f.write_str("evicted"),
+        }
+    }
 }
 
 /// Counters describing table behaviour; snapshot with [`Conntrack::stats`].
@@ -124,12 +200,11 @@ impl Observation {
 
 struct Inner {
     slots: Vec<Slot>,
-    free: Vec<usize>,
     index: HashMap<FlowKey, usize>,
-    head: usize,
-    tail: usize,
+    /// Ends of the [`LRU`] and [`CLOSED`] lists.
+    lists: [List; 2],
     stats: CtStats,
-    flow_log: Vec<String>,
+    flow_log: Vec<FlowRecord>,
 }
 
 /// A deterministic connection-tracking table.
@@ -165,24 +240,14 @@ impl std::fmt::Debug for Conntrack {
 }
 
 impl Conntrack {
-    /// Creates a table with all `capacity` slots pre-allocated.
+    /// Creates a table with room for `capacity` slots reserved.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let slots = vec![
-            Slot {
-                entry: None,
-                prev: NIL,
-                next: NIL,
-            };
-            capacity
-        ];
         Conntrack {
             inner: Mutex::new(Inner {
-                slots,
-                free: (0..capacity).rev().collect(),
+                slots: Vec::with_capacity(capacity),
                 index: HashMap::with_capacity(capacity),
-                head: NIL,
-                tail: NIL,
+                lists: [EMPTY; 2],
                 stats: CtStats::default(),
                 flow_log: Vec::new(),
             }),
@@ -235,8 +300,18 @@ impl Conntrack {
                 entry.bytes += len;
             }
             inner.touch(slot);
+            if prev == CtState::Closed {
+                inner.unlink(CLOSED, slot);
+            }
+            if next == CtState::Closed {
+                inner.push_front(CLOSED, slot);
+            }
             if next != prev {
-                inner.log_transition(key, Some(prev), next);
+                inner.flow_log.push(FlowRecord::Transition {
+                    key,
+                    prev: Some(prev),
+                    next,
+                });
             }
             return Observation {
                 prev: Some(prev),
@@ -247,7 +322,7 @@ impl Conntrack {
 
         inner.stats.misses += 1;
         let state = initial_state(key.proto, flags);
-        let (slot, evicted) = inner.allocate_slot();
+        let (slot, evicted) = inner.allocate_slot(self.capacity);
         inner.slots[slot].entry = Some(Entry {
             key,
             state,
@@ -255,9 +330,13 @@ impl Conntrack {
             bytes: len,
         });
         inner.index.insert(key, slot);
-        inner.push_front(slot);
+        inner.push_front(LRU, slot);
         inner.stats.inserted += 1;
-        inner.log_transition(key, None, state);
+        inner.flow_log.push(FlowRecord::Transition {
+            key,
+            prev: None,
+            next: state,
+        });
         Observation {
             prev: None,
             state,
@@ -276,9 +355,8 @@ impl Conntrack {
     pub fn flow_log_fingerprint(&self) -> String {
         let inner = self.inner.lock();
         let mut out = String::with_capacity(inner.flow_log.len() * 48);
-        for line in &inner.flow_log {
-            out.push_str(line);
-            out.push('\n');
+        for record in &inner.flow_log {
+            writeln!(out, "{record}").expect("writing to a String cannot fail");
         }
         out
     }
@@ -286,16 +364,9 @@ impl Conntrack {
     /// Clears entries, stats, and the flow log.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        let capacity = inner.slots.len();
-        for slot in &mut inner.slots {
-            slot.entry = None;
-            slot.prev = NIL;
-            slot.next = NIL;
-        }
-        inner.free = (0..capacity).rev().collect();
+        inner.slots.clear();
         inner.index.clear();
-        inner.head = NIL;
-        inner.tail = NIL;
+        inner.lists = [EMPTY; 2];
         inner.stats = CtStats::default();
         inner.flow_log.clear();
     }
@@ -353,93 +424,71 @@ fn transition(prev: CtState, proto: u8, flags: u8) -> CtState {
 }
 
 impl Inner {
-    /// Unlinks `slot` from the LRU list.
-    fn unlink(&mut self, slot: usize) {
-        let Slot { prev, next, .. } = self.slots[slot];
+    /// Unlinks `slot` from `list`.
+    fn unlink(&mut self, list: usize, slot: usize) {
+        let Link { prev, next } = self.slots[slot].links[list];
         if prev != NIL {
-            self.slots[prev].next = next;
+            self.slots[prev].links[list].next = next;
         } else {
-            self.head = next;
+            self.lists[list].head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
+            self.slots[next].links[list].prev = prev;
         } else {
-            self.tail = prev;
+            self.lists[list].tail = prev;
         }
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = NIL;
+        self.slots[slot].links[list] = UNLINKED;
     }
 
-    /// Links `slot` at the most-recently-used end.
-    fn push_front(&mut self, slot: usize) {
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = slot;
+    /// Links `slot` at the most-recently-used end of `list`.
+    fn push_front(&mut self, list: usize, slot: usize) {
+        let head = self.lists[list].head;
+        self.slots[slot].links[list] = Link {
+            prev: NIL,
+            next: head,
+        };
+        if head != NIL {
+            self.slots[head].links[list].prev = slot;
         }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
+        self.lists[list].head = slot;
+        if self.lists[list].tail == NIL {
+            self.lists[list].tail = slot;
         }
     }
 
-    /// Moves `slot` to the most-recently-used end.
+    /// Moves `slot` to the most-recently-used end of the LRU list.
     fn touch(&mut self, slot: usize) {
-        if self.head == slot {
+        if self.lists[LRU].head == slot {
             return;
         }
-        self.unlink(slot);
-        self.push_front(slot);
+        self.unlink(LRU, slot);
+        self.push_front(LRU, slot);
     }
 
-    /// Returns a free slot, evicting if the arena is full. Eviction
-    /// prefers the least-recently-used `Closed` entry, then the LRU tail.
-    fn allocate_slot(&mut self) -> (usize, bool) {
-        if let Some(slot) = self.free.pop() {
-            return (slot, false);
+    /// Returns an empty slot, growing the arena up to `capacity` and
+    /// evicting once it is full. Eviction takes the least-recently-used
+    /// `Closed` entry, else the LRU tail.
+    fn allocate_slot(&mut self, capacity: usize) -> (usize, bool) {
+        if self.slots.len() < capacity {
+            self.slots.push(NEW_SLOT);
+            return (self.slots.len() - 1, false);
         }
-        let mut victim = self.tail;
-        let mut cursor = self.tail;
-        while cursor != NIL {
-            if self.slots[cursor]
-                .entry
-                .map(|e| e.state == CtState::Closed)
-                .unwrap_or(false)
-            {
-                victim = cursor;
-                break;
-            }
-            cursor = self.slots[cursor].prev;
-        }
+        let victim = match self.lists[CLOSED].tail {
+            NIL => self.lists[LRU].tail,
+            closed => closed,
+        };
         debug_assert_ne!(victim, NIL, "full table must have a tail");
-        let key = self.slots[victim].entry.expect("occupied").key;
-        self.index.remove(&key);
-        self.unlink(victim);
+        let entry = self.slots[victim].entry.expect("occupied");
+        self.index.remove(&entry.key);
+        self.unlink(LRU, victim);
+        if entry.state == CtState::Closed {
+            self.unlink(CLOSED, victim);
+        }
         self.slots[victim].entry = None;
         self.stats.evicted += 1;
-        self.log_evict(key);
+        self.flow_log.push(FlowRecord::Evicted(entry.key));
         (victim, true)
     }
-
-    fn log_transition(&mut self, key: FlowKey, prev: Option<CtState>, next: CtState) {
-        self.flow_log.push(format!(
-            "{} {}->{}",
-            flow_label(key),
-            prev.map_or("new", |s| s.name()),
-            next.name()
-        ));
-    }
-
-    fn log_evict(&mut self, key: FlowKey) {
-        self.flow_log.push(format!("{} evicted", flow_label(key)));
-    }
-}
-
-fn flow_label(key: FlowKey) -> String {
-    format!(
-        "{:08x}:{}>{:08x}:{}/{}",
-        key.src_ip, key.src_port, key.dst_ip, key.dst_port, key.proto
-    )
 }
 
 #[cfg(test)]
